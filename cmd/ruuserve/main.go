@@ -97,7 +97,11 @@ func main() {
 			log.Fatal(err)
 		}
 		defer st.Close()
-		log.Printf("persistent store at %s (%d entries warm)", *storeDir, st.Stats().Entries)
+		stats := st.Stats()
+		if stats.Superseded > 0 {
+			log.Printf("persistent store at %s was in an older format: moved %d entries to quarantine/ (their results are recomputed on demand)", *storeDir, stats.Superseded)
+		}
+		log.Printf("persistent store at %s (%d entries warm)", *storeDir, stats.Entries)
 	}
 
 	var coord *fabric.Coordinator

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ruu/internal/obs"
 )
 
 // Config parameterises a Coordinator.
@@ -185,6 +187,10 @@ func (c *Coordinator) post(ctx context.Context, worker, path string, body []byte
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		// The worker logs and traces the item under the batch's ID.
+		req.Header.Set("X-Request-ID", id)
+	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ruu/internal/obs"
 )
 
 func jobKey(i int) Key {
@@ -122,6 +124,38 @@ func fastCfg(workers ...string) Config {
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
+	}
+}
+
+// TestCoordinatorForwardsRequestID: a worker logs and traces a
+// forwarded item under the ID of the batch that carried it, and a
+// context without an ID sends none (the worker then assigns its own).
+func TestCoordinatorForwardsRequestID(t *testing.T) {
+	seen := make(chan string, 2)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/simulate" { // not the health prober
+			seen <- r.Header.Get("X-Request-ID")
+		}
+	}))
+	defer srv.Close()
+
+	c, err := New(fastCfg(srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := obs.WithRequestID(context.Background(), "batch-7")
+	if _, err := c.Do(ctx, jobKey(1), "/v1/simulate", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != "batch-7" {
+		t.Errorf("worker saw X-Request-ID %q, want %q", got, "batch-7")
+	}
+	if _, err := c.Do(context.Background(), jobKey(2), "/v1/simulate", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != "" {
+		t.Errorf("worker saw X-Request-ID %q for a context without one", got)
 	}
 }
 

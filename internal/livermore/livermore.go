@@ -27,7 +27,9 @@ import (
 
 	"ruu/internal/asm"
 	"ruu/internal/exec"
+	"ruu/internal/isa"
 	"ruu/internal/memsys"
+	"ruu/internal/sched"
 )
 
 // Kernel is one Livermore loop.
@@ -50,6 +52,10 @@ type Kernel struct {
 	once sync.Once
 	unit *asm.Unit
 	err  error
+
+	digestOnce sync.Once
+	digest     sched.Key
+	digestErr  error
 }
 
 // Unit assembles the kernel (cached).
@@ -70,6 +76,44 @@ func (k *Kernel) NewState() (*exec.State, error) {
 		k.Init(m, u)
 	}
 	return exec.NewState(m), nil
+}
+
+// Digest returns the content address of the kernel's input: a hash of
+// its encoded program and its complete initial architectural state
+// (registers, PC, halt flag, and the memory image after Init). Like
+// Unit it is computed once: a kernel and its Init are fixed code, so
+// job keys hash this 32-byte digest instead of rebuilding and rehashing
+// the whole memory image for every job.
+func (k *Kernel) Digest() (sched.Key, error) {
+	k.digestOnce.Do(func() { k.digest, k.digestErr = k.computeDigest() })
+	return k.digest, k.digestErr
+}
+
+func (k *Kernel) computeDigest() (sched.Key, error) {
+	u, err := k.Unit()
+	if err != nil {
+		return sched.NoKey, err
+	}
+	parcels, err := isa.Encode(u.Prog)
+	if err != nil {
+		return sched.NoKey, err
+	}
+	st, err := k.NewState()
+	if err != nil {
+		return sched.NoKey, err
+	}
+	var regs [isa.NumRegs]int64
+	for i := range regs {
+		regs[i] = st.Reg(isa.FromFlat(i))
+	}
+	h := sched.NewHasher()
+	h.String("input", "state")
+	sched.Uint16s(h, "prog", parcels)
+	h.Int64s("regs", regs[:])
+	h.Int("pc", int64(st.PC))
+	h.Bool("halted", st.Halted)
+	h.Int64s("mem", st.Mem.Words())
+	return h.Sum(), nil
 }
 
 // Verify runs Check against a final state.

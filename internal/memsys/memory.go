@@ -69,6 +69,11 @@ func NewMemory(words int) *Memory {
 // Size returns the memory size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
+// Words returns the image's words. The slice aliases the memory, so
+// callers must treat it as read-only; it exists to hash or copy a whole
+// image in bulk.
+func (m *Memory) Words() []int64 { return m.words }
+
 // Clone returns an independent deep copy of the memory image.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{words: make([]int64, len(m.words))}

@@ -26,32 +26,64 @@ func (k Key) IsZero() bool { return k == NoKey }
 // adjacent fields can never alias each other ("ab"+"c" vs "a"+"bc")
 // and a field added in one writer position cannot collide with another.
 type Hasher struct {
-	h   hash.Hash
-	buf [8]byte
+	h hash.Hash
+	// chunk stages the encoded fields, so they reach the hash in a few
+	// bulk writes rather than one call per word; n bytes are pending.
+	chunk [512]byte
+	n     int
 }
 
 // NewHasher returns an empty Hasher.
 func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
 
+func (h *Hasher) flush() {
+	h.h.Write(h.chunk[:h.n])
+	h.n = 0
+}
+
+func (h *Hasher) put64(v uint64) {
+	if h.n+8 > len(h.chunk) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.chunk[h.n:], v)
+	h.n += 8
+}
+
+func (h *Hasher) put16(v uint16) {
+	if h.n+2 > len(h.chunk) {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint16(h.chunk[h.n:], v)
+	h.n += 2
+}
+
+func (h *Hasher) putString(s string) {
+	if h.n+len(s) > len(h.chunk) {
+		h.flush()
+		if len(s) > len(h.chunk) {
+			h.h.Write([]byte(s))
+			return
+		}
+	}
+	h.n += copy(h.chunk[h.n:], s)
+}
+
 func (h *Hasher) label(l string, n int) {
-	binary.LittleEndian.PutUint64(h.buf[:], uint64(len(l)))
-	h.h.Write(h.buf[:])
-	h.h.Write([]byte(l))
-	binary.LittleEndian.PutUint64(h.buf[:], uint64(n))
-	h.h.Write(h.buf[:])
+	h.put64(uint64(len(l)))
+	h.putString(l)
+	h.put64(uint64(n))
 }
 
 // String hashes one labeled string field.
 func (h *Hasher) String(label, s string) {
 	h.label(label, len(s))
-	h.h.Write([]byte(s))
+	h.putString(s)
 }
 
 // Int hashes one labeled integer field.
 func (h *Hasher) Int(label string, v int64) {
 	h.label(label, 8)
-	binary.LittleEndian.PutUint64(h.buf[:], uint64(v))
-	h.h.Write(h.buf[:])
+	h.put64(uint64(v))
 }
 
 // Bool hashes one labeled boolean field.
@@ -66,31 +98,44 @@ func (h *Hasher) Bool(label string, v bool) {
 // Bytes hashes one labeled byte-string field.
 func (h *Hasher) Bytes(label string, b []byte) {
 	h.label(label, len(b))
+	h.flush()
 	h.h.Write(b)
 }
 
-// Words hashes one labeled sequence of n int64 values produced by at,
-// without materialising the sequence (memory images are hashed through
-// this).
-func (h *Hasher) Words(label string, n int, at func(i int) int64) {
-	h.label(label, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(h.buf[:], uint64(at(i)))
-		h.h.Write(h.buf[:])
-	}
-}
-
-// Int64s hashes one labeled []int64 field.
+// Int64s hashes one labeled []int64 field as little-endian words (how
+// whole memory images are hashed).
 func (h *Hasher) Int64s(label string, vs []int64) {
 	h.label(label, 8*len(vs))
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(h.buf[:], uint64(v))
-		h.h.Write(h.buf[:])
+		h.put64(uint64(v))
+	}
+}
+
+// Uint16s hashes one labeled sequence of 16-bit words, such as a
+// program's encoded instruction parcels. It is a function rather than
+// a method so it accepts any uint16-based element type.
+func Uint16s[T ~uint16](h *Hasher, label string, vs []T) {
+	h.label(label, 2*len(vs))
+	for _, v := range vs {
+		h.put16(uint16(v))
+	}
+}
+
+// Pairs hashes one labeled sequence of records, each encoded by pair
+// as two int64 words, such as a data image's (address, value) list.
+// Like Uint16s it is a function so it accepts any record type.
+func Pairs[T any](h *Hasher, label string, vs []T, pair func(T) (int64, int64)) {
+	h.label(label, 16*len(vs))
+	for _, v := range vs {
+		a, b := pair(v)
+		h.put64(uint64(a))
+		h.put64(uint64(b))
 	}
 }
 
 // Sum returns the accumulated Key.
 func (h *Hasher) Sum() Key {
+	h.flush()
 	var k Key
 	h.h.Sum(k[:0])
 	return k

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -42,6 +43,40 @@ func TestHasherFieldBoundaries(t *testing.T) {
 	}
 	if (Key{}).IsZero() != true || keyOf("a").IsZero() {
 		t.Fatal("IsZero misclassifies")
+	}
+}
+
+// TestHasherStagingIsTransparent: staging fields in the chunk buffer
+// must not change the bytes hashed, whatever the field sizes relative
+// to the buffer: a string field and the equal byte-string field hash
+// alike, short or longer than the buffer, and a word sequence hashes
+// like its little-endian bytes.
+func TestHasherStagingIsTransparent(t *testing.T) {
+	for _, n := range []int{0, 7, 511, 512, 513, 5000} {
+		s := strings.Repeat("ab", n)[:n]
+		h1, h2 := NewHasher(), NewHasher()
+		h1.Int("pre", 1)
+		h1.String("s", s)
+		h1.Int("post", 2)
+		h2.Int("pre", 1)
+		h2.Bytes("s", []byte(s))
+		h2.Int("post", 2)
+		if h1.Sum() != h2.Sum() {
+			t.Errorf("String and Bytes of %d bytes hash differently", n)
+		}
+
+		words := make([]int64, n)
+		raw := make([]byte, 0, 8*n)
+		for i := range words {
+			words[i] = int64(i) * -7919
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(words[i]))
+		}
+		h3, h4 := NewHasher(), NewHasher()
+		h3.Int64s("w", words)
+		h4.Bytes("w", raw)
+		if h3.Sum() != h4.Sum() {
+			t.Errorf("Int64s of %d words differs from its bytes", n)
+		}
 	}
 }
 

@@ -8,12 +8,22 @@
 //
 // Layout (everything under one root directory):
 //
+//	FORMAT                  the entry format (magic) the store holds
 //	objects/<hh>/<64-hex>   one entry per key, sharded by the first
 //	                        key byte; header + checksum + payload
 //	index.log               append-only recency log (fsync'd on put),
 //	                        compacted on every Open
-//	quarantine/<64-hex>.<n> corrupt entries moved aside on read
+//	quarantine/<64-hex>.<n> corrupt entries moved aside on read, and
+//	                        entries of an older format moved aside
+//	                        on Open
 //	tmp/                    staging area for atomic writes
+//
+// The format names the job-key schema too: the keys are content
+// addresses whose layout the service defines, so a schema change makes
+// every stored key unreachable. Bumping magic with it makes Open of an
+// older store explicit — its objects are moved to quarantine/ and
+// counted (Stats.Superseded) instead of lingering silently cold — while
+// a store already in the current format costs Open one small read.
 //
 // Crash safety is the tmp+rename discipline: an entry is staged in
 // tmp/, fsync'd, then renamed into objects/ (atomic on POSIX), and the
@@ -35,7 +45,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,9 +59,15 @@ import (
 // never interprets it beyond hex-encoding it into a file name.
 type Key = [sha256.Size]byte
 
-// magic heads every entry file; bumping it invalidates (quarantines)
-// entries written by incompatible versions.
-const magic = "RUUSTOR1"
+// magic heads every entry file and is recorded in the FORMAT marker;
+// bumping it (with every job-key schema change) sets aside the entries
+// of older stores. RUUSTOR1 stores hold keys of the first job-key
+// schema.
+const magic = "RUUSTOR2"
+
+// formatFile is the marker in the store root naming the format of the
+// entries under objects/.
+const formatFile = "FORMAT"
 
 // headerSize is the fixed entry-file prefix: magic, payload length,
 // payload SHA-256.
@@ -83,6 +101,9 @@ type Stats struct {
 	Evictions    int64 `json:"evictions"`
 	Quarantined  int64 `json:"quarantined"`
 	BytesWritten int64 `json:"bytes_written"`
+	// Superseded counts the entries of an older store format that Open
+	// moved to quarantine/.
+	Superseded int64 `json:"superseded"`
 	// ReadErrors and WriteErrors count I/O failures absorbed by Get
 	// and Put (each such Get is also a miss; each such Put is a no-op).
 	ReadErrors  int64 `json:"read_errors"`
@@ -121,9 +142,10 @@ type entry struct {
 	size int64
 }
 
-// Open opens (creating if needed) the store rooted at dir, replays and
-// compacts the index log, reconciles it against the objects on disk,
-// clears stale tmp files, and enforces the byte bound.
+// Open opens (creating if needed) the store rooted at dir, sets aside
+// the objects of an older format (checkFormat), replays and compacts
+// the index log, reconciles it against the objects on disk, clears
+// stale tmp files, and enforces the byte bound.
 func Open(dir string, opts Options) (*Store, error) {
 	maxBytes := opts.MaxBytes
 	if maxBytes == 0 {
@@ -143,10 +165,50 @@ func Open(dir string, opts Options) (*Store, error) {
 		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),
 	}}
+	if err := s.core.checkFormat(); err != nil {
+		return nil, err
+	}
 	if err := s.core.recover(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// checkFormat reads the FORMAT marker. A store in the current format
+// needs nothing more; no object is opened. Any other store — no marker
+// (written before markers existed) or another format — holds entries
+// this version can never reach, so every object is moved to
+// quarantine/ and counted as Superseded before the marker is written.
+func (c *storeCore) checkFormat() error {
+	path := filepath.Join(c.dir, formatFile)
+	data, err := os.ReadFile(path)
+	if err == nil && string(data) == magic+"\n" {
+		return nil
+	}
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: read format: %w", err)
+	}
+	shards, _ := os.ReadDir(filepath.Join(c.dir, "objects"))
+	for _, shard := range shards {
+		if !shard.IsDir() {
+			continue
+		}
+		files, _ := os.ReadDir(filepath.Join(c.dir, "objects", shard.Name()))
+		for _, f := range files {
+			if _, ok := parseKeyName(f.Name()); ok {
+				c.moveToQuarantine(filepath.Join(c.dir, "objects", shard.Name(), f.Name()), f.Name())
+				c.stats.Superseded++
+			}
+		}
+	}
+	tmp := filepath.Join(c.dir, "tmp", formatFile+".tmp")
+	if err := writeFileSync(tmp, []byte(magic+"\n")); err != nil {
+		return fmt.Errorf("store: write format: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: install format: %w", err)
+	}
+	return syncDir(c.dir)
 }
 
 // Get returns the payload stored under k. A corrupt entry is moved to
@@ -425,12 +487,22 @@ func (c *storeCore) drop(e *list.Element, logDelete bool) {
 	}
 }
 
-// quarantine moves a corrupt entry aside (objects/ -> quarantine/ with
-// a uniqueness suffix) and removes it from the resident set.
+// quarantine moves a corrupt entry aside and removes it from the
+// resident set.
 func (c *storeCore) quarantine(e *list.Element) {
 	ent := e.Value.(*entry)
-	name := hex.EncodeToString(ent.key[:])
-	src := c.objectPath(ent.key)
+	c.moveToQuarantine(c.objectPath(ent.key), hex.EncodeToString(ent.key[:]))
+	c.lru.Remove(e)
+	delete(c.entries, ent.key)
+	c.bytes -= ent.size
+	c.stats.Quarantined++
+	c.appendLog("D %x\n", ent.key, false)
+}
+
+// moveToQuarantine moves the object file src to quarantine/<name>.<n>,
+// with the first free uniqueness suffix n (removing src if the move
+// fails).
+func (c *storeCore) moveToQuarantine(src, name string) {
 	for n := 0; ; n++ {
 		dst := filepath.Join(c.dir, "quarantine", fmt.Sprintf("%s.%d", name, n))
 		if _, err := os.Stat(dst); err == nil {
@@ -439,13 +511,8 @@ func (c *storeCore) quarantine(e *list.Element) {
 		if err := os.Rename(src, dst); err != nil {
 			_ = os.Remove(src)
 		}
-		break
+		return
 	}
-	c.lru.Remove(e)
-	delete(c.entries, ent.key)
-	c.bytes -= ent.size
-	c.stats.Quarantined++
-	c.appendLog("D %x\n", ent.key, false)
 }
 
 // appendLog appends one index record; only put records are fsync'd

@@ -318,3 +318,121 @@ func TestDecodeEntryRejects(t *testing.T) {
 		t.Error("decodeEntry rejected a valid entry")
 	}
 }
+
+// writeV1Store lays out a store as the first format wrote it: RUUSTOR1
+// entry files, an index, and no FORMAT marker.
+func writeV1Store(t *testing.T, dir string, n int) {
+	t.Helper()
+	var index bytes.Buffer
+	for i := 0; i < n; i++ {
+		k := testKey(i)
+		name := fmt.Sprintf("%x", k)
+		payload := []byte(fmt.Sprintf(`{"result":%d}`, i))
+		entry := encodeEntry(payload)
+		copy(entry, "RUUSTOR1")
+		shard := filepath.Join(dir, "objects", name[:2])
+		if err := os.MkdirAll(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shard, name), entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&index, "P %s\n", name)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.log"), index.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldFormatQuarantinedOnOpen: a store written under the previous
+// job-key schema must not sit unreachable and silently cold. Open moves
+// its objects to quarantine/, counts them, and marks the store current.
+func TestOldFormatQuarantinedOnOpen(t *testing.T) {
+	const n = 5
+	dir := t.TempDir()
+	writeV1Store(t, dir, n)
+
+	s := mustOpen(t, dir, Options{})
+	st := s.Stats()
+	if st.Superseded != n || st.Entries != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v, want %d superseded, 0 entries, 0 quarantined", st, n)
+	}
+	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil || len(q) != n {
+		t.Fatalf("quarantine dir: %d entries, err %v; want %d", len(q), err, n)
+	}
+	if _, ok := s.Get(testKey(0)); ok {
+		t.Fatal("old-format entry served")
+	}
+	// The store is usable and current from now on.
+	s.Put(testKey(100), []byte("new"))
+	s.Close()
+	if data, err := os.ReadFile(filepath.Join(dir, formatFile)); err != nil || string(data) != magic+"\n" {
+		t.Fatalf("format marker = %q, %v; want %q", data, err, magic)
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if st := s2.Stats(); st.Superseded != 0 || st.Entries != 1 {
+		t.Fatalf("reopen stats = %+v, want 0 superseded, 1 entry", st)
+	}
+	if got, ok := s2.Get(testKey(100)); !ok || string(got) != "new" {
+		t.Fatalf("entry written after the upgrade: ok=%v got=%q", ok, got)
+	}
+}
+
+// TestForeignFormatMarkerQuarantined: a marker naming any other format
+// is treated like a missing one.
+func TestForeignFormatMarkerQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	writeV1Store(t, dir, 2)
+	if err := os.WriteFile(filepath.Join(dir, formatFile), []byte("RUUSTOR1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	if st := s.Stats(); st.Superseded != 2 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want 2 superseded, 0 entries", st)
+	}
+}
+
+// TestCurrentFormatOpensWithoutReadingObjects: the format check costs a
+// current store nothing per entry. Every object's header is damaged
+// behind the store's back; an Open that read objects would set them
+// aside, but the format is taken from the marker alone, and the damage
+// only surfaces (as quarantine) when an entry is read.
+func TestCurrentFormatOpensWithoutReadingObjects(t *testing.T) {
+	const n = 4
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), []byte("v"))
+	}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = s.core.objectPath(testKey(i))
+	}
+	s.Close()
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, "XXXXXXXX")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if st := s2.Stats(); st.Entries != n || st.Superseded != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v, want %d entries and nothing set aside on Open", st, n)
+	}
+	if _, ok := s2.Get(testKey(0)); ok {
+		t.Fatal("damaged entry served")
+	}
+	if st := s2.Stats(); st.Quarantined != 1 {
+		t.Fatalf("stats = %+v, want the damaged entry quarantined on read", st)
+	}
+}

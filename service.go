@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"ruu/internal/asm"
 	"ruu/internal/exec"
 	"ruu/internal/isa"
 	"ruu/internal/livermore"
+	"ruu/internal/memsys"
 	"ruu/internal/sched"
 	"ruu/internal/store"
 )
@@ -108,20 +110,34 @@ func (r *Runner) poolFor(cfg Config) *sched.Pool {
 	return r.pool
 }
 
-// jobKey returns the content address of one simulation: every Config
-// field, the encoded program, and the complete initial architectural
-// state. NoKey (uncacheable) when an observer is attached — a cache
-// hit would silently skip the observer's event stream — or when the
-// program does not encode.
-func jobKey(cfg Config, u *Unit, st *State) sched.Key {
-	if cfg.Machine.Probe != nil || cfg.Machine.Trace != nil {
-		return sched.NoKey
-	}
-	parcels, err := isa.Encode(u.Prog)
-	if err != nil {
+// keySchema versions the job-key layout: the fields hashed and their
+// encoding. Bump it whenever the bytes of a key change, together with
+// the persistent store's format (internal/store), so results stored
+// under the old layout are set aside instead of lingering unreachable.
+const keySchema = 2
+
+// jobKey returns the content address of one simulation: the key
+// schema, every Config field (hashConfig), and the digest of the job's
+// program and initial state. NoKey (uncacheable) when an observer is
+// attached — a cache hit would silently skip the observer's event
+// stream — or when there is no input digest.
+func jobKey(cfg Config, input sched.Key) sched.Key {
+	if cfg.Machine.Probe != nil || cfg.Machine.Trace != nil || input.IsZero() {
 		return sched.NoKey
 	}
 	h := sched.NewHasher()
+	h.Int("schema", keySchema)
+	hashConfig(h, cfg)
+	h.Bytes("input", input[:])
+	return h.Sum()
+}
+
+// hashConfig hashes every Config and machine.Config field by name.
+// Machine.Trace and Machine.Probe are left out: they observe a run
+// without changing it, and jobKey refuses to key an observed run at
+// all. A field added to either struct must be added here (or named as
+// excluded in the key tests, which enumerate both structs).
+func hashConfig(h *sched.Hasher, cfg Config) {
 	h.String("engine", string(cfg.Engine))
 	h.Int("entries", int64(cfg.Entries))
 	h.Int("paths", int64(cfg.Paths))
@@ -129,31 +145,56 @@ func jobKey(cfg Config, u *Unit, st *State) sched.Key {
 	h.String("bypass", string(cfg.Bypass))
 	h.Int("nibits", int64(cfg.CounterBits))
 	h.Int("width", int64(cfg.CommitWidth))
-	// The machine frame is hashed through its Go representation so a
-	// field added to machine.Config can never silently alias two
-	// different timings (Probe and Trace are nil here by the guard
-	// above, so the rendering is stable).
-	h.String("machine", fmt.Sprintf("%#v", cfg.Machine))
-	h.Words("prog", len(parcels), func(i int) int64 { return int64(parcels[i]) })
-	h.Words("regs", isa.NumRegs, func(i int) int64 { return st.Reg(isa.FromFlat(i)) })
-	h.Int("pc", int64(st.PC))
-	h.Bool("halted", st.Halted)
-	h.Words("mem", st.Mem.Size(), func(i int) int64 { return st.Mem.Peek(int64(i)) })
+	m := cfg.Machine
+	var lat [len(m.Lat)]int64
+	for i, l := range m.Lat {
+		lat[i] = int64(l)
+	}
+	h.Int64s("machine.lat", lat[:])
+	h.Int("machine.fwdlatency", int64(m.FwdLatency))
+	h.Int("machine.takenpenalty", int64(m.TakenPenalty))
+	h.Int("machine.untakenpenalty", int64(m.UntakenPenalty))
+	h.Int("machine.loadregs", int64(m.LoadRegs))
+	h.Int("machine.maxcycles", m.MaxCycles)
+	h.Bool("machine.speculate", m.Speculate)
+	h.Int("machine.predictedtakenbubble", int64(m.PredictedTakenBubble))
+	h.Int("machine.mispredictpenalty", int64(m.MispredictPenalty))
+	h.Int("machine.interruptpenalty", int64(m.InterruptPenalty))
+	h.Bool("machine.instructionbuffers", m.InstructionBuffers)
+	h.Int("machine.ibufcount", int64(m.IBufCount))
+	h.Int("machine.ibufparcels", int64(m.IBufParcels))
+	h.Int("machine.ibufmisspenalty", int64(m.IBufMissPenalty))
+}
+
+// unitDigest is the input digest of a submitted unit: its encoded
+// program, its data image as the ordered (address, value) list, and
+// the memory size. NewState(u) is a pure function of exactly these —
+// registers start at zero, the PC at 0, and the data list is poked
+// into a zeroed image in order — so equal digests mean equal initial
+// states, without building the image. NoKey when the program does not
+// encode.
+func unitDigest(u *Unit) sched.Key {
+	parcels, err := isa.Encode(u.Prog)
+	if err != nil {
+		return sched.NoKey
+	}
+	h := sched.NewHasher()
+	h.String("input", "unit")
+	sched.Uint16s(h, "prog", parcels)
+	sched.Pairs(h, "data", u.Data, func(d asm.Datum) (int64, int64) { return d.Addr, d.Value })
+	h.Int("memwords", memsys.DefaultWords)
 	return h.Sum()
 }
 
-// kernelKey is jobKey for a built-in kernel run; NoKey when the kernel
-// fails to build (the job itself will surface that error).
+// kernelKey is jobKey for a built-in kernel run, over the kernel's
+// once-computed digest; NoKey when the kernel fails to build (the job
+// itself will surface that error).
 func kernelKey(cfg Config, k *livermore.Kernel) sched.Key {
-	u, err := k.Unit()
+	d, err := k.Digest()
 	if err != nil {
 		return sched.NoKey
 	}
-	st, err := k.NewState()
-	if err != nil {
-		return sched.NoKey
-	}
-	return jobKey(cfg, u, st)
+	return jobKey(cfg, d)
 }
 
 // kernelSpec is one flattened (configuration, kernel) job of a sweep
@@ -367,7 +408,7 @@ type SimOutcome struct {
 // when the job is uncacheable (observer attached or unencodable
 // program).
 func ProgramKey(cfg Config, u *Unit, verify bool) sched.Key {
-	key := jobKey(cfg, u, NewState(u))
+	key := jobKey(cfg, unitDigest(u))
 	if key.IsZero() {
 		return key
 	}

@@ -3,8 +3,10 @@ package ruu
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
+	"ruu/internal/asm"
 	"ruu/internal/livermore"
 )
 
@@ -166,26 +168,45 @@ func TestJobKeySeparatesConfigsProgramsAndState(t *testing.T) {
 		t.Fatalf("assemble: %v", err)
 	}
 	base := Config{Engine: EngineRUU, Entries: 12}
-	k0 := jobKey(base, u, NewState(u))
+	k0 := jobKey(base, unitDigest(u))
 	if k0.IsZero() {
 		t.Fatal("cacheable job hashed to NoKey")
 	}
-	if k := jobKey(base, u, NewState(u)); k != k0 {
-		t.Error("identical inputs produced different keys")
+	again, err := Assemble(serviceTestSrc)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	if k := jobKey(base, unitDigest(again)); k != k0 {
+		t.Error("assembling the same source twice produced different keys")
 	}
 	other := base
 	other.Entries = 16
-	if k := jobKey(other, u, NewState(u)); k == k0 {
+	if k := jobKey(other, unitDigest(u)); k == k0 {
 		t.Error("different Entries produced the same key")
 	}
 	mcfg := base
 	mcfg.Machine.FwdLatency = 5
-	if k := jobKey(mcfg, u, NewState(u)); k == k0 {
+	if k := jobKey(mcfg, unitDigest(u)); k == k0 {
 		t.Error("different machine timing produced the same key")
 	}
-	st := NewState(u)
-	st.Mem.Poke(0, 12345)
-	if k := jobKey(base, u, st); k == k0 {
+
+	prog := *u.Prog
+	prog.Instructions = slices.Clone(u.Prog.Instructions)
+	prog.Instructions[0].Imm++ // lai A7, 1: one parcel differs
+	parcel := *u
+	parcel.Prog = &prog
+	if k := jobKey(base, unitDigest(&parcel)); k == k0 {
+		t.Error("a different program parcel produced the same key")
+	}
+	word := *u
+	word.Data = slices.Clone(u.Data)
+	word.Data[0].Value++
+	if k := jobKey(base, unitDigest(&word)); k == k0 {
+		t.Error("a different data word produced the same key")
+	}
+	poked := *u
+	poked.Data = append(slices.Clip(u.Data), asm.Datum{Addr: 0, Value: 12345})
+	if k := jobKey(base, unitDigest(&poked)); k == k0 {
 		t.Error("different initial memory produced the same key")
 	}
 }

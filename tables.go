@@ -3,6 +3,7 @@ package ruu
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ruu/internal/machine"
 
@@ -113,7 +114,25 @@ type SpeedupRow struct {
 // latency-weighted critical path over the dynamic trace) across the
 // whole kernel suite under the given machine timing. Zero-value timing
 // fields take the machine defaults, matching what NewMachine runs with.
+// The sum depends only on that timing, so it is memoised per timing
+// (dataflowMemo); every sweep cell asks for it.
 func DataflowLimit(mcfg MachineConfig) (int64, error) {
+	bcfg := boundConfig(mcfg)
+	if total, ok := dataflowMemo.get(bcfg); ok {
+		return total, nil
+	}
+	total, err := dataflowLimit(bcfg)
+	if err != nil {
+		return 0, err
+	}
+	dataflowMemo.put(bcfg, total)
+	return total, nil
+}
+
+// boundConfig is the dataflow oracle's view of a machine timing, with
+// the machine defaults applied: the normal form dataflowMemo is keyed
+// by.
+func boundConfig(mcfg MachineConfig) dfa.BoundConfig {
 	d := machine.DefaultConfig()
 	bcfg := dfa.BoundConfig{Lat: mcfg.Lat, FwdLatency: mcfg.FwdLatency}
 	if bcfg.Lat == (fu.Latencies{}) {
@@ -122,6 +141,11 @@ func DataflowLimit(mcfg MachineConfig) (int64, error) {
 	if bcfg.FwdLatency <= 0 {
 		bcfg.FwdLatency = d.FwdLatency
 	}
+	return bcfg
+}
+
+// dataflowLimit computes DataflowLimit for a normalised bound config.
+func dataflowLimit(bcfg dfa.BoundConfig) (int64, error) {
 	var total int64
 	for _, k := range livermore.Kernels() {
 		u, err := k.Unit()
@@ -142,6 +166,44 @@ func DataflowLimit(mcfg MachineConfig) (int64, error) {
 		total += b.Cycles
 	}
 	return total, nil
+}
+
+// dataflowMemo holds DataflowLimit results per normalised timing. It is
+// a memo of a pure function, not a result cache: it never counts as a
+// cache hit. Failed computations are not stored. It is bounded because
+// /v1/sweep accepts client timings, so an unbounded memo would let
+// clients grow it without limit.
+var dataflowMemo = newBoundMemo(64)
+
+// boundMemo is a concurrency-safe map holding at most max entries;
+// when full, an arbitrary entry makes room for a new one.
+type boundMemo struct {
+	max int
+	mu  sync.Mutex
+	m   map[dfa.BoundConfig]int64 // guardedby: mu
+}
+
+func newBoundMemo(max int) *boundMemo {
+	return &boundMemo{max: max, m: make(map[dfa.BoundConfig]int64)}
+}
+
+func (b *boundMemo) get(k dfa.BoundConfig) (int64, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, ok := b.m[k]
+	return v, ok
+}
+
+func (b *boundMemo) put(k dfa.BoundConfig, v int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.m[k]; !ok && len(b.m) >= b.max {
+		for old := range b.m {
+			delete(b.m, old)
+			break
+		}
+	}
+	b.m[k] = v
 }
 
 // Sweep runs the kernel suite at each entry count, with cfg as the
