@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ruu"
+	"ruu/internal/livermore"
 	"ruu/internal/machine"
 )
 
@@ -37,6 +38,46 @@ func TestNewEngineKinds(t *testing.T) {
 	}
 	if _, err := ruu.NewMachine(ruu.Config{Engine: "bogus"}); err == nil {
 		t.Error("NewMachine accepted an unknown engine kind")
+	}
+}
+
+// TestRSTUDefaultSize: an RSTU with no positive Entries or Paths runs
+// exactly like the documented default of 10 entries and 1 dispatch
+// path, and the default is not vacuous (another size or path count
+// changes the timing). The other station-pool defaults are pinned by
+// TestGoldenCycleCounts.
+func TestRSTUDefaultSize(t *testing.T) {
+	cases := []struct {
+		unset, def, other ruu.Config
+	}{
+		{ruu.Config{Engine: ruu.EngineRSTU}, ruu.Config{Engine: ruu.EngineRSTU, Entries: 10}, ruu.Config{Engine: ruu.EngineRSTU, Entries: 4}},
+		{ruu.Config{Engine: ruu.EngineRSTU, Entries: -1, Paths: -1}, ruu.Config{Engine: ruu.EngineRSTU, Entries: 10, Paths: 1}, ruu.Config{Engine: ruu.EngineRSTU, Entries: 10, Paths: 2}},
+	}
+	k := livermore.ByName("LLL13")
+	u, err := k.Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := func(cfg ruu.Config) int64 {
+		m, err := ruu.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := k.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(u.Prog, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Cycles
+	}
+	for _, c := range cases {
+		unset, def, other := cycles(c.unset), cycles(c.def), cycles(c.other)
+		if unset != def || def == other {
+			t.Errorf("%+v: %d cycles, default %+v %d, other %+v %d", c.unset, unset, c.def, def, c.other, other)
+		}
 	}
 }
 

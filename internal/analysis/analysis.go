@@ -227,7 +227,7 @@ func SortFindings(fs []Finding) {
 // inScope reports whether an import path falls under one of the scope
 // prefixes; an empty scope matches everything. A prefix matches the
 // path itself and everything below it ("ruu/internal/issue" matches
-// "ruu/internal/issue/rstu").
+// "ruu/internal/issue/tagunit").
 func inScope(path string, scope []string) bool {
 	if len(scope) == 0 {
 		return true

@@ -78,10 +78,8 @@ var DefaultPreciseStateAllow = map[string][]string{
 	// Simple in-order issue: registers update at result writeback in
 	// BeginCycle; stores write memory at issue (no store buffering).
 	"internal/issue/simple": {"BeginCycle", "TryIssue"},
-	// RSTU: register writeback in BeginCycle, stores from tryMemOp.
-	"internal/issue/rstu": {"BeginCycle", "tryMemOp"},
-	// Tomasulo / Tag Unit: register writeback in BeginCycle, stores
-	// from tryMemOp.
+	// Tomasulo / Tag Unit / RS pool / RSTU: register writeback in
+	// BeginCycle, stores from tryMemOp.
 	"internal/issue/tagunit": {"BeginCycle", "tryMemOp"},
 }
 

@@ -80,9 +80,6 @@ func Suite() []Benchmark {
 		}},
 		{"SimulatorRSTU", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRSTU, Entries: 10}) }},
 		{"SimulatorSimple", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineSimple}) }},
-		{"ProbeOverheadOff", func(b B, n int) {
-			benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRUU, Entries: 12})
-		}},
 		{"ProbeOverheadMetrics", func(b B, n int) {
 			cfg := ruu.Config{Engine: ruu.EngineRUU, Entries: 12}
 			cfg.Machine.Probe = ruu.NewMetricsCollector()

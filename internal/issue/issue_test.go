@@ -5,12 +5,9 @@ import (
 
 	"ruu/internal/asm"
 	"ruu/internal/exec"
-	"ruu/internal/isa"
 	"ruu/internal/issue"
-	"ruu/internal/issue/rstu"
 	"ruu/internal/issue/simple"
 	"ruu/internal/issue/tagunit"
-	"ruu/internal/issue/tomasulo"
 	"ruu/internal/machine"
 )
 
@@ -32,11 +29,11 @@ func runEngine(t *testing.T, eng issue.Engine, src string) (machine.Result, *exe
 func allEngines() map[string]func() issue.Engine {
 	return map[string]func() issue.Engine{
 		"simple":   func() issue.Engine { return simple.New() },
-		"tomasulo": func() issue.Engine { return tomasulo.New(0) },
+		"tomasulo": func() issue.Engine { return tagunit.New(tagunit.Config{}) },
 		"tu-dist":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12}) },
 		"tu-pool":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12, PoolSize: 8}) },
-		"rstu":     func() issue.Engine { return rstu.New(8) },
-		"rstu-2p":  func() issue.Engine { return rstu.New(8, rstu.WithPaths(2)) },
+		"rstu":     func() issue.Engine { return tagunit.New(tagunit.Config{PoolSize: 8}) },
+		"rstu-2p":  func() issue.Engine { return tagunit.New(tagunit.Config{PoolSize: 8, Paths: 2}) },
 	}
 }
 
@@ -164,11 +161,7 @@ func TestTagUnitBlocksWhenFull(t *testing.T) {
 // consecutive FP adds stall on the station while the (idle) multiplier's
 // station cannot help — the §3.2.2 motivation for the merged pool.
 func TestDistributedStationsStarve(t *testing.T) {
-	per := map[isa.Unit]int{}
-	for u := isa.Unit(1); u < isa.NumUnits; u++ {
-		per[u] = 1
-	}
-	dist := tagunit.New(tagunit.Config{TagUnitSize: 12, PerUnit: per})
+	dist := tagunit.New(tagunit.Config{TagUnitSize: 12, Stations: 1})
 	pool := tagunit.New(tagunit.Config{TagUnitSize: 12, PoolSize: 10})
 	src := `
     frecip S6, S7     ; slow producer: the fadds wait in their stations
@@ -201,8 +194,8 @@ func TestRSTUTwoPathsDispatchesTwo(t *testing.T) {
     fmul S4, S6, S6
     halt
 `
-	r1, _ := runEngine(t, rstu.New(8), src)
-	r2, _ := runEngine(t, rstu.New(8, rstu.WithPaths(2)), src)
+	r1, _ := runEngine(t, tagunit.New(tagunit.Config{PoolSize: 8}), src)
+	r2, _ := runEngine(t, tagunit.New(tagunit.Config{PoolSize: 8, Paths: 2}), src)
 	if r2.Stats.Cycles > r1.Stats.Cycles {
 		t.Fatalf("2 paths (%d cycles) slower than 1 (%d)", r2.Stats.Cycles, r1.Stats.Cycles)
 	}
@@ -212,11 +205,11 @@ func TestRSTUTwoPathsDispatchesTwo(t *testing.T) {
 func TestEngineNames(t *testing.T) {
 	cases := map[string]issue.Engine{
 		"simple":   simple.New(),
-		"tomasulo": tomasulo.New(2),
+		"tomasulo": tagunit.New(tagunit.Config{Stations: 2}),
 		"tu-dist":  tagunit.New(tagunit.Config{TagUnitSize: 4}),
 		"tu-pool":  tagunit.New(tagunit.Config{TagUnitSize: 4, PoolSize: 4}),
-		"rstu":     rstu.New(4),
-		"rstu-2p":  rstu.New(4, rstu.WithPaths(2)),
+		"rstu":     tagunit.New(tagunit.Config{PoolSize: 4}),
+		"rstu-2p":  tagunit.New(tagunit.Config{PoolSize: 4, Paths: 2}),
 	}
 	for want, eng := range cases {
 		if got := eng.Name(); got != want {

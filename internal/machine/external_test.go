@@ -8,7 +8,7 @@ import (
 	"ruu/internal/asm"
 	"ruu/internal/core"
 	"ruu/internal/exec"
-	"ruu/internal/issue/rstu"
+	"ruu/internal/issue/tagunit"
 	"ruu/internal/livermore"
 	"ruu/internal/machine"
 )
@@ -66,7 +66,7 @@ func TestExternalInterruptPreciseResume(t *testing.T) {
 func TestExternalInterruptImpreciseStops(t *testing.T) {
 	k := livermore.ByName("LLL1")
 	unit, _ := k.Unit()
-	m := machine.New(rstu.New(12), machine.Config{})
+	m := machine.New(tagunit.New(tagunit.Config{PoolSize: 12}), machine.Config{})
 	m.ScheduleExternal(200)
 	m.SetHandler(func(st *exec.State, ev machine.InterruptEvent) machine.InterruptAction {
 		t.Fatal("handler must not be consulted for an imprecise engine")
