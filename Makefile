@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-smoke lint lint-timing lint-fix-check dfa analyze serve quickstart-http fabric-smoke
+.PHONY: all build test race vet bench bench-json bench-smoke lint lint-fix-check dfa analyze serve quickstart-http fabric-smoke
 
 all: build test vet lint analyze
 
@@ -41,24 +41,13 @@ bench-smoke:
 # lines in out/ruulint.json for tooling, a SARIF 2.1.0 log in
 # out/ruulint.sarif for GitHub code scanning, a per-pass timing
 # summary on stderr, and a machine-readable timing report in
-# out/lint-timings.json. The incremental cache (out/lintcache/) is on
-# by default, so an unchanged tree answers in milliseconds; `make
-# lint-timing` measures the cold/warm split explicitly.
+# out/lint-timings.json. The build comes first: it leaves the
+# standard library's export data in the Go build cache, which is what
+# the loader reads, so a run takes well under a second.
 lint:
 	$(GO) build ./...
 	@mkdir -p out
 	$(GO) run ./cmd/ruulint -out out/ruulint.json -sarif out/ruulint.sarif -timings -timings-out out/lint-timings.json ./...
-
-# lint-timing is the cache benchmark as a Make step: a cold run (cache
-# bypassed and repopulated) then a warm run of the identical command,
-# each writing its timing report to out/. CI uploads both JSON files as
-# the lint-timings artifact; the warm report's cache_full_hit must be
-# true and its total_ns sits ~2-3 orders of magnitude under cold.
-lint-timing:
-	$(GO) build ./...
-	@mkdir -p out
-	$(GO) run ./cmd/ruulint -cold -timings -timings-out out/lint-timings-cold.json ./...
-	$(GO) run ./cmd/ruulint -timings -timings-out out/lint-timings-warm.json ./...
 
 # analyze runs ruudfa, the ISA-level static analysis (see docs/DFA.md):
 # value-aware program lint (abstract interpretation), the static
@@ -98,12 +87,13 @@ quickstart-http:
 fabric-smoke:
 	$(GO) run ./examples/quickstart/fabric
 
-# lint-fix-check is the CI fail-fast gate: formatting and lint findings
-# fail before the slower race/bench stages run. The timing summary
-# shows where the lint wall-clock goes.
+# lint-fix-check is the CI fail-fast gate: formatting, then the one
+# ruulint run of `make lint` (with its JSON, SARIF and timing
+# artifacts), both failing before the slower test, race and bench
+# stages run.
 lint-fix-check:
 	@unformatted=$$(gofmt -l . | grep -v '^out/' || true); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-	$(GO) run ./cmd/ruulint -timings ./...
+	$(MAKE) lint

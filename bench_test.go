@@ -111,14 +111,9 @@ func BenchmarkPreciseInterruptRoundTrip(b *testing.B) { runBench(b, "PreciseInte
 // two-run Makefile paid it twice.
 func BenchmarkRuulint(b *testing.B) { runBench(b, "Ruulint") }
 
-// BenchmarkRuulintCheckOnly isolates the pass run over a cached load:
+// BenchmarkRuulintCheckOnly isolates the pass run over one reused load:
 // the phase the shared snapshot/callgraph cache optimises.
 func BenchmarkRuulintCheckOnly(b *testing.B) { runBench(b, "RuulintCheckOnly") }
-
-// BenchmarkRuulintWarm measures a full-hit incremental-cache run on an
-// unchanged tree — the ruulint_warm_ns trajectory point, i.e. what
-// `make lint` costs when nothing changed.
-func BenchmarkRuulintWarm(b *testing.B) { runBench(b, "RuulintWarm") }
 
 // BenchmarkDFAAnalyze measures the full static analysis (abstract
 // interpretation, value-aware lint, memory-dependence summary) over

@@ -96,7 +96,7 @@ func main() {
 		})
 		totalFindings += len(r.Findings)
 	}
-	timRep := analysis.NewTimingsReport("ruudfa", time.Since(start), perProgram, totalFindings, analysis.CacheStats{})
+	timRep := analysis.NewTimingsReport("ruudfa", time.Since(start), 0, perProgram, totalFindings)
 
 	if out.SARIF != "" {
 		cwd, _ := os.Getwd()

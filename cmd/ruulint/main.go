@@ -16,15 +16,11 @@
 //	ruulint -out f.json -sarif f.sarif ./...   # machine formats, one load
 //	ruulint -timings ./...     # wall-clock summary on stderr
 //	ruulint -timings-out t.json ./...          # same summary as JSON
-//	ruulint -cold ./...        # ignore cached entries, repopulate them
-//	ruulint -cache=false ./... # bypass the cache entirely
 //
-// By default runs go through the persistent incremental cache under
-// out/lintcache/ (module-relative; -cache-dir overrides): per-(pass,
-// package) finding sets keyed by content hashes, so an unchanged tree
-// lints without type-checking and an edit re-analyzes only the
-// packages whose hash inputs moved. Cached results are byte-identical
-// to a cold run's.
+// Every run loads the module afresh: the module's packages are
+// type-checked from source and the standard library is read from the
+// toolchain's compiled export data, so a warm-build-cache run of every
+// pass over the whole tree takes well under a second.
 //
 // Findings print as file:line:col: [pass] message, relative to the
 // working directory; with -json, as one {"pos","pass","msg"} object per
@@ -49,15 +45,12 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list the passes and exit")
-		passes   = flag.String("passes", "", "comma-separated pass names to run (default: all)")
-		cache    = flag.Bool("cache", true, "use the persistent incremental lint cache")
-		cacheDir = flag.String("cache-dir", "out/lintcache", "cache directory, relative to the module root")
-		cold     = flag.Bool("cold", false, "ignore cached entries but still write fresh ones")
+		list   = flag.Bool("list", false, "list the passes and exit")
+		passes = flag.String("passes", "", "comma-separated pass names to run (default: all)")
 	)
 	out := analysis.RegisterOutputFlags(flag.CommandLine)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [-passes p1,p2] [-cache=false] [-cache-dir dir] [-cold] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [-passes p1,p2] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -71,11 +64,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	modPath, err := analysis.ModulePathOf(root)
+	// One load and one pass run feed every output format below.
+	start := time.Now()
+	mod, err := analysis.Load(root)
 	if err != nil {
 		fatal(err)
 	}
-	all := analysis.DefaultPasses(modPath)
+	loaded := time.Since(start)
+	all := analysis.DefaultPasses(mod.Path)
 	if *list {
 		for _, p := range all {
 			fmt.Printf("%-16s %s\n", p.Name, p.Doc)
@@ -86,35 +82,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// One pass run feeds every output format below; on the cached path
-	// an unchanged tree answers from disk without type-checking.
-	start := time.Now()
-	var (
-		findings    []analysis.Finding
-		passTimings []analysis.PassTiming
-		stats       analysis.CacheStats
-	)
-	if *cache {
-		dir := *cacheDir
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(root, dir)
-		}
-		findings, passTimings, stats, err = analysis.CheckCached(root, dir, selected, *cold)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		loadStart := time.Now()
-		mod, err := analysis.Load(root)
-		if err != nil {
-			fatal(err)
-		}
-		stats.LoadElapsed = time.Since(loadStart)
-		snap := analysis.NewSnapshot(mod.Packages)
-		findings, passTimings = analysis.CheckSnapshot(snap, selected)
-	}
-	report := analysis.NewTimingsReport("ruulint", time.Since(start), passTimings, len(findings), stats)
+	findings, passTimings := analysis.CheckSnapshot(analysis.NewSnapshot(mod.Packages), selected)
+	report := analysis.NewTimingsReport("ruulint", time.Since(start), loaded, passTimings, len(findings))
 
 	cwd, _ := os.Getwd()
 	if out.Out != "" {

@@ -54,18 +54,11 @@ type TimingsReport struct {
 	Command string `json:"command"`
 	// TotalNS is end-to-end wall clock for the analysis (load + passes).
 	TotalNS int64 `json:"total_ns"`
-	// ScanNS is the cache scan+probe cost (cache runs only).
-	ScanNS int64 `json:"scan_ns,omitempty"`
-	// LoadNS is the parse+typecheck cost; zero on a full cache hit.
+	// LoadNS is the parse+typecheck cost; zero for a command that does
+	// not load a module.
 	LoadNS int64 `json:"load_ns,omitempty"`
 	// Findings is the total finding count.
 	Findings int `json:"findings"`
-	// CacheHits/CacheMisses count (pass, package) pairs; CacheFullHit
-	// marks a run answered without loading. All zero when the cache is
-	// off.
-	CacheHits    int  `json:"cache_hits,omitempty"`
-	CacheMisses  int  `json:"cache_misses,omitempty"`
-	CacheFullHit bool `json:"cache_full_hit,omitempty"`
 	// Passes is the per-pass breakdown in pass order.
 	Passes []PassTimingJSON `json:"passes"`
 }
@@ -77,18 +70,15 @@ type PassTimingJSON struct {
 	ElapsedNS int64  `json:"elapsed_ns"`
 }
 
-// NewTimingsReport assembles the report from a check run's outputs.
-func NewTimingsReport(command string, total time.Duration, timings []PassTiming, findings int, stats CacheStats) TimingsReport {
+// NewTimingsReport assembles the report from a check run's outputs:
+// total and load wall clock, and the per-pass timings.
+func NewTimingsReport(command string, total, load time.Duration, timings []PassTiming, findings int) TimingsReport {
 	r := TimingsReport{
-		Command:      command,
-		TotalNS:      total.Nanoseconds(),
-		ScanNS:       stats.ScanElapsed.Nanoseconds(),
-		LoadNS:       stats.LoadElapsed.Nanoseconds(),
-		Findings:     findings,
-		CacheHits:    stats.Hits,
-		CacheMisses:  stats.Misses,
-		CacheFullHit: stats.FullHit,
-		Passes:       make([]PassTimingJSON, 0, len(timings)),
+		Command:  command,
+		TotalNS:  total.Nanoseconds(),
+		LoadNS:   load.Nanoseconds(),
+		Findings: findings,
+		Passes:   make([]PassTimingJSON, 0, len(timings)),
 	}
 	for _, pt := range timings {
 		r.Passes = append(r.Passes, PassTimingJSON{
@@ -98,16 +88,12 @@ func NewTimingsReport(command string, total time.Duration, timings []PassTiming,
 	return r
 }
 
-// Print renders the human form, one aligned line per pass plus cache
+// Print renders the human form, one aligned line per pass plus load
 // and total lines, prefixed with the command name.
 func (r TimingsReport) Print(w io.Writer) {
 	for _, pt := range r.Passes {
 		fmt.Fprintf(w, "%s: %-16s %4d finding(s) %12s\n",
 			r.Command, pt.Name, pt.Findings, time.Duration(pt.ElapsedNS).Round(time.Microsecond))
-	}
-	if r.ScanNS > 0 || r.CacheHits > 0 || r.CacheMisses > 0 {
-		fmt.Fprintf(w, "%s: cache %d hit(s), %d miss(es), scan %s\n",
-			r.Command, r.CacheHits, r.CacheMisses, time.Duration(r.ScanNS).Round(time.Microsecond))
 	}
 	if r.LoadNS > 0 {
 		fmt.Fprintf(w, "%s: load %s\n", r.Command, time.Duration(r.LoadNS).Round(time.Microsecond))

@@ -8,10 +8,13 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -19,8 +22,8 @@ import (
 // rooted at dir (the directory holding go.mod). Only the standard
 // library and the module's own packages may be imported — by design the
 // module carries no external dependencies, and the loader enforces it:
-// an import outside both resolves through the source importer and fails
-// if absent from GOROOT.
+// an import outside both has no standard-library export data (see
+// exportImporter), so type-checking the importing package fails.
 //
 // Directories named "testdata", hidden directories, and directories
 // without non-test Go files are skipped, as are files whose //go:build
@@ -65,13 +68,9 @@ func Load(dir string) (*Module, error) {
 		return nil, err
 	}
 
-	fset := token.NewFileSet()
-	l := &loader{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		dirOf:   dirOf,
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
+	l, err := newLoader(root, dirOf)
+	if err != nil {
+		return nil, err
 	}
 	paths := make([]string, 0, len(dirOf))
 	for p := range dirOf {
@@ -93,15 +92,91 @@ func Load(dir string) (*Module, error) {
 // files (test fixtures) under the given import path. Imports resolve
 // against the standard library only.
 func LoadDir(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	l := &loader{
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		dirOf:   map[string]string{importPath: dir},
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
+	l, err := newLoader(dir, map[string]string{importPath: dir})
+	if err != nil {
+		return nil, err
 	}
 	return l.load(importPath)
+}
+
+// newLoader prepares a loader for the packages in dirOf, resolving
+// every other import from the toolchain's export data.
+func newLoader(dir string, dirOf map[string]string) (*loader, error) {
+	fset := token.NewFileSet()
+	std, err := exportImporter(fset, dir, dirOf)
+	if err != nil {
+		return nil, err
+	}
+	return &loader{
+		fset:    fset,
+		std:     std,
+		dirOf:   dirOf,
+		pkgs:    map[string]*Package{},
+		loading: map[string]bool{},
+	}, nil
+}
+
+// exportImporter returns the importer for the imports of dirOf's files
+// that lie outside dirOf: the gc importer over the compiled export data
+// of the standard library, located by a single `go list -export` call
+// (run in dir) over exactly those paths, so a load type-checks only
+// the module's own code from source. A path that is not in the
+// standard library gets no export data, so importing it fails with an
+// error that names it.
+func exportImporter(fset *token.FileSet, dir string, dirOf map[string]string) (types.Importer, error) {
+	seen := map[string]bool{}
+	var paths []string
+	for _, pkgDir := range dirOf {
+		names, err := goFileNames(pkgDir)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(pkgDir, name), nil, parser.ImportsOnly|parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			if fileExcluded(f) {
+				continue
+			}
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value) // the parser checked the literal
+				if _, local := dirOf[path]; local || path == "unsafe" || seen[path] {
+					continue
+				}
+				seen[path] = true
+				paths = append(paths, path)
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(paths) > 0 {
+		sort.Strings(paths)
+		// -e lists an unresolvable path instead of failing the whole
+		// call; it is left out of exports below, and the import of it
+		// fails in the type checker with its name.
+		args := append([]string{"list", "-e", "-export", "-f", "{{if .Standard}}{{.ImportPath}}\t{{.Export}}{{end}}"}, paths...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %w: %s", err, stderr.String())
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("%s is neither in the standard library nor in the module", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 type loader struct {
@@ -114,7 +189,7 @@ type loader struct {
 
 // Import implements types.Importer: module-local packages are
 // type-checked from source recursively, everything else is delegated to
-// the standard-library source importer.
+// the standard-library export-data importer.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -220,8 +295,8 @@ func buildTagSatisfied(tag string) bool {
 	case runtime.GOOS, runtime.GOARCH, "gc", "unix":
 		return true
 	}
-	// Release tags: the source importer resolves against the running
-	// toolchain's GOROOT, so every go1.N it defines is satisfied.
+	// Release tags: the standard library comes from the installed
+	// toolchain's export data, so every go1.N it defines is satisfied.
 	return strings.HasPrefix(tag, "go1.")
 }
 
@@ -247,13 +322,6 @@ func goFileNames(dir string) ([]string, error) {
 func hasGoFiles(dir string) bool {
 	names, err := goFileNames(dir)
 	return err == nil && len(names) > 0
-}
-
-// ModulePathOf reads the module path from dir's go.mod without loading
-// anything — the cached lint path needs the pass set (whose scopes are
-// module-path-prefixed) before it knows whether a load is necessary.
-func ModulePathOf(dir string) (string, error) {
-	return modulePath(filepath.Join(dir, "go.mod"))
 }
 
 // modulePath extracts the module path from a go.mod file.

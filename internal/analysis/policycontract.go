@@ -52,10 +52,8 @@ func NewPolicyContract(allow Allowlist, scope ...string) *Pass {
 	var graph *CallGraph
 	var prog *ssa.Program
 	return &Pass{
-		Name:    "policycontract",
-		Doc:     "engine/policy interface rules: state-origin, probe discipline, issue-order determinism",
-		Version: 1,
-		Cache:   CacheModule,
+		Name: "policycontract",
+		Doc:  "engine/policy interface rules: state-origin, probe discipline, issue-order determinism",
 		Init: func(snap *Snapshot) {
 			graph = snap.Graph()
 			prog = snap.ValueFlow()

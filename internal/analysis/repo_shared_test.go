@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The repo-level tests (tree-clean gate, race test, cache test) all
-// need the module loaded and type-checked — about four seconds of work.
-// loadRepo does it once per test binary; the Module is read-only by
-// convention (tests build their own Snapshots and pass sets over it).
+// The repo-level tests (tree-clean gate, race test) both need the
+// module loaded and type-checked. loadRepo does it once per test
+// binary; the Module is read-only by convention (tests build their own
+// Snapshots and pass sets over it).
 var (
 	repoOnce sync.Once
 	repoMod  *Module

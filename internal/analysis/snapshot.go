@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/types"
 	"sync"
 
 	"ruu/internal/analysis/ssa"
@@ -27,13 +25,12 @@ type Snapshot struct {
 	graphOnce sync.Once
 	graph     *CallGraph
 
-	vfOnce sync.Once
-	vf     *ssa.Program
+	vf *ssa.Program
 }
 
 // NewSnapshot wraps the packages for shared analysis.
 func NewSnapshot(pkgs []*Package) *Snapshot {
-	s := &Snapshot{Packages: pkgs, byPath: make(map[string]*Package, len(pkgs))}
+	s := &Snapshot{Packages: pkgs, byPath: make(map[string]*Package, len(pkgs)), vf: ssa.NewProgram()}
 	for _, p := range pkgs {
 		s.byPath[p.Path] = p
 	}
@@ -54,25 +51,6 @@ func (s *Snapshot) Graph() *CallGraph {
 	return s.graph
 }
 
-// ValueFlow returns the snapshot's interprocedural SSA view, lazily
-// built over the call graph. The two resolver closures are the only
-// coupling between the ssa package and the analysis layer: ssa never
-// imports analysis.
-func (s *Snapshot) ValueFlow() *ssa.Program {
-	s.vfOnce.Do(func() {
-		g := s.Graph()
-		s.vf = ssa.NewProgram(
-			func(fn *types.Func) (ssa.Source, bool) {
-				decl, pkg := g.Decl(fn)
-				if decl == nil {
-					return ssa.Source{}, false
-				}
-				return ssa.Source{Decl: decl, Fset: pkg.Fset, Info: pkg.Info}, true
-			},
-			func(info *types.Info, call *ast.CallExpr) []*types.Func {
-				return g.Callees(info, call)
-			},
-		)
-	})
-	return s.vf
-}
+// ValueFlow returns the snapshot's shared SSA cache, so the value-flow
+// passes build each function's IR at most once per snapshot.
+func (s *Snapshot) ValueFlow() *ssa.Program { return s.vf }

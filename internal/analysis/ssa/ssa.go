@@ -3,11 +3,10 @@
 // built per function from the already type-checked tree the analysis
 // loader produces.
 //
-// The passes above it reason about *values*, not syntax: where an
-// allocated object flows (escape analysis behind hotpathalloc's
-// finding messages), whether a pointer is provably nil at a deref
-// (the nilness pass), and whether an architectural-state value reaches
-// a mutation site off the audited commit path (policycontract). The
+// The passes above it reason about *values*, not syntax: whether a
+// pointer is provably nil at a deref (the nilness pass), and whether
+// an architectural-state value reaches a mutation site off the
+// audited commit path (policycontract). The
 // RTA call graph (internal/analysis/callgraph.go) answered "who calls
 // whom"; this package answers "where does this value go".
 //
@@ -189,26 +188,6 @@ func (f *Func) UsesOf(d *Def) []*ast.Ident {
 		}
 	}
 	sortIdents(out)
-	return out
-}
-
-// PhisOver returns every phi definition that carries d as an operand,
-// directly merging it into a later version.
-func (f *Func) PhisOver(d *Def) []*Def {
-	var out []*Def
-	for _, defs := range f.Defs {
-		for _, cand := range defs {
-			if cand.Kind != DefPhi {
-				continue
-			}
-			for _, a := range cand.Args {
-				if a == d {
-					out = append(out, cand)
-					break
-				}
-			}
-		}
-	}
 	return out
 }
 

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -328,197 +327,5 @@ outer:
 	}
 	if phis == 0 {
 		t.Fatal("total crosses loop joins with no phi")
-	}
-}
-
-// escapeProgram builds a Program over the test file so interprocedural
-// summaries resolve static calls.
-func escapeProgram(t *testing.T, src string) (*Program, map[string]*ast.FuncDecl, *token.FileSet, *types.Info) {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "test.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Implicits: map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	decls := map[string]*ast.FuncDecl{}
-	byObj := map[*types.Func]*ast.FuncDecl{}
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			decls[fd.Name.Name] = fd
-			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-				byObj[obj] = fd
-			}
-		}
-	}
-	prog := NewProgram(
-		func(fn *types.Func) (Source, bool) {
-			if fd, ok := byObj[fn]; ok {
-				return Source{Decl: fd, Fset: fset, Info: info}, true
-			}
-			return Source{}, false
-		},
-		func(inf *types.Info, call *ast.CallExpr) []*types.Func {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if fn, ok := inf.Uses[id].(*types.Func); ok {
-					return []*types.Func{fn}
-				}
-			}
-			return nil
-		},
-	)
-	return prog, decls, fset, info
-}
-
-// allocExprIn finds the first composite-literal or make/new call in
-// the named function.
-func allocExprIn(t *testing.T, decl *ast.FuncDecl) ast.Expr {
-	t.Helper()
-	var found ast.Expr
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			found = n
-			return false
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "new") {
-				found = n
-				return false
-			}
-		}
-		return true
-	})
-	if found == nil {
-		t.Fatal("no allocation expression found")
-	}
-	return found
-}
-
-func TestEscapeReturned(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f() *T {
-	t := &T{v: 1}
-	return t
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatal("returned allocation reported as non-escaping")
-	}
-	joined := strings.Join(esc.Path, " -> ")
-	if !strings.Contains(joined, "assigned to t") || !strings.Contains(joined, "returned") {
-		t.Fatalf("path %q missing assignment/return steps", joined)
-	}
-}
-
-func TestEscapeLocalOnly(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f() int {
-	t := T{v: 1}
-	return t.v
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if esc.Escapes {
-		t.Fatalf("frame-local value reported escaping: %v", esc.Path)
-	}
-}
-
-func TestEscapeStoredToField(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-type Box struct{ p *T }
-func f(b *Box) {
-	b.p = &T{v: 1}
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatal("field store reported as non-escaping")
-	}
-	if !strings.Contains(strings.Join(esc.Path, " "), "stored to b.p") {
-		t.Fatalf("path %v missing field-store step", esc.Path)
-	}
-}
-
-func TestEscapeThroughCall(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-var sink *T
-func keep(t *T) { sink = t }
-func drop(t *T) int { return t.v }
-func f() {
-	a := &T{}
-	keep(a)
-}
-func g() {
-	b := &T{}
-	_ = drop(b)
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-
-	ff := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	escF := prog.Escapes(ff, allocExprIn(t, decls["f"]))
-	if !escF.Escapes {
-		t.Fatal("value stored to a global through keep() reported as non-escaping")
-	}
-	if !strings.Contains(strings.Join(escF.Path, " "), "keep") {
-		t.Fatalf("path %v does not mention keep", escF.Path)
-	}
-
-	fg := prog.FuncOf(Source{Decl: decls["g"], Fset: fset, Info: info})
-	escG := prog.Escapes(fg, allocExprIn(t, decls["g"]))
-	if escG.Escapes {
-		t.Fatalf("value passed to read-only drop() reported escaping: %v", escG.Path)
-	}
-}
-
-func TestEscapeSendOnChannel(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f(ch chan *T) {
-	ch <- &T{}
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes || !strings.Contains(strings.Join(esc.Path, " "), "sent on channel") {
-		t.Fatalf("channel send: escapes=%v path=%v", esc.Escapes, esc.Path)
-	}
-}
-
-func TestEscapePhiMerge(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f(c bool) *T {
-	t := &T{v: 1}
-	if c {
-		t = &T{v: 2}
-	}
-	return t
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	// The first allocation only reaches the return through the phi.
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatalf("phi-merged allocation reported as non-escaping")
 	}
 }

@@ -90,7 +90,6 @@ func Suite() []Benchmark {
 		{"PreciseInterruptRoundTrip", benchPreciseInterruptRoundTrip},
 		{"Ruulint", benchRuulint},
 		{"RuulintCheckOnly", benchRuulintCheckOnly},
-		{"RuulintWarm", benchRuulintWarm},
 		{"DFAAnalyze", benchDFAAnalyze},
 		{"BoundTightened", benchBoundTightened},
 		{"StoreWrite", benchStoreWrite},

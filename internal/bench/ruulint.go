@@ -16,7 +16,7 @@ import (
 // single-invocation Makefile is a structural ≥2× wall-clock
 // improvement, and any regression in the shared-snapshot machinery
 // shows up here as ruulint_ns growth. RuulintCheckOnly isolates the
-// pass-execution phase off a cached load, which is what the shared
+// pass-execution phase off one reused load, which is what the shared
 // snapshot (one callgraph for every pass) actually optimises.
 
 var (
@@ -85,42 +85,6 @@ func benchRuulintCheckOnly(b B, n int) {
 	if findings != 0 {
 		b.Fatalf("lint benchmark found %d findings on the tree", findings)
 	}
-}
-
-// benchRuulintWarm measures the incremental-cache fast path: a cold
-// CheckCached populates a scratch cache outside the timer, then every
-// iteration answers the unchanged tree entirely from cache (scan +
-// key probe, no load, no pass runs). The ruulint_warm_ns metric is the
-// steady-state cost of `make lint` on an unchanged tree — the v4 cache
-// moves that from the ruulint_ns regime (seconds) to milliseconds.
-func benchRuulintWarm(b B, n int) {
-	b.Helper()
-	root := moduleRootDir(b)
-	cacheDir, err := os.MkdirTemp("", "ruulint-warm-bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(cacheDir)
-	passes := analysis.DefaultPasses("ruu")
-	if _, _, _, err := analysis.CheckCached(root, cacheDir, passes, true); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var findings int
-	for i := 0; i < n; i++ {
-		fs, _, stats, err := analysis.CheckCached(root, cacheDir, passes, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !stats.FullHit {
-			b.Fatalf("warm iteration missed the cache (%d misses)", stats.Misses)
-		}
-		findings = len(fs)
-	}
-	if findings != 0 {
-		b.Fatalf("lint benchmark found %d findings on the tree", findings)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ruulint_warm_ns")
 }
 
 // moduleRootDir resolves the repo root without caching the load.
